@@ -78,6 +78,25 @@ func BenchmarkBuildOptimal(b *testing.B) {
 	}
 }
 
+// BenchmarkBuild times the public Build — the Theorem 2 levels plus the
+// Theorem 3 hashed sets — on a skewed column shaped like the repository
+// benchmark's scan workload (Zipf θ=1.1, σ=4096).
+func BenchmarkBuild(b *testing.B) {
+	for _, n := range []int{1 << 17, 1 << 20} {
+		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
+			col := workload.Zipf(n, 4096, 1.1, 1)
+			var ix *Index
+			for b.Loop() {
+				var err error
+				if ix, err = Build(col.X, col.Sigma, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(ix.SizeBits())/float64(n), "bits/row")
+		})
+	}
+}
+
 func BenchmarkQueryOptimal(b *testing.B) {
 	for _, ell := range []int{1, 16, 128} {
 		b.Run("ell="+strconv.Itoa(ell), func(b *testing.B) {

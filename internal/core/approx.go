@@ -5,10 +5,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 
-	"repro/internal/bitio"
 	"repro/internal/cbitmap"
 	"repro/internal/hashutil"
 	"repro/internal/index"
@@ -65,32 +65,135 @@ func BuildApprox(d iomodel.Device, col workload.Column, opts ApproxOptions) (*Ap
 	}
 	// For each materialised member, store h_j(S) for every j, grouped by j
 	// ("we group the sets according to what hash function was used") so a
-	// cover chunk at one j is contiguous.
+	// cover chunk at one j is contiguous. Every hashed set streams from the
+	// tree's position lists through one reused encoder and pooled writer
+	// straight into its extent; TestStreamingBuildBitIdentical pins the bytes
+	// against a per-member FromUnsorted oracle.
+	lw := getChainWriter()
+	defer putChainWriter(lw)
+	var hb hashedSetBuilder
 	for _, lv := range ox.levels {
 		hl := hashLevel{perJ: make([]hashArray, ax.k)}
 		for j := 1; j <= ax.k; j++ {
-			univ := int64(1) << uint(1<<uint(j))
 			arr := &hl.perJ[j-1]
+			arr.exts = make([]iomodel.Extent, 0, len(lv.members))
+			arr.cards = make([]int64, 0, len(lv.members))
+			var enc cbitmap.StreamEncoder
 			for _, m := range lv.members {
-				pos := ox.tree.Positions(m.start, m.end)
-				hashed := make([]int64, 0, len(pos))
-				for _, p := range pos {
-					hashed = append(hashed, int64(ax.hs[j-1].Hash(uint64(p))))
-				}
-				hbm, err := cbitmap.FromUnsorted(univ, hashed)
-				if err != nil {
-					return nil, err
-				}
-				w := bitio.NewWriter(hbm.SizeBits())
-				hbm.EncodeTo(w)
-				arr.exts = append(arr.exts, d.AllocStream(w))
-				arr.cards = append(arr.cards, hbm.Card())
+				lw.Reset()
+				enc.Init(lw)
+				hb.encode(&enc, ox.tree, ax.hs[j-1], m.start, m.end)
+				arr.exts = append(arr.exts, d.AllocStream(lw))
+				arr.cards = append(arr.cards, enc.Card())
 			}
 		}
 		ax.hmaps = append(ax.hmaps, hl)
 	}
 	d.ResetStats()
 	return ax, nil
+}
+
+// bitsetMaxLowBits is the widest hash output whose hashed sets are built in
+// a word bitset: 2^16 bits is 8 KiB of scratch, and every j ≤ 4 qualifies.
+const bitsetMaxLowBits = 16
+
+// hashedSetBuilder holds the scratch the hashed-set build reuses across
+// members: the member's per-character position slices, a word bitset for
+// the small universes and key buffers for the wide one.
+type hashedSetBuilder struct {
+	lists     [][]int64
+	bitset    []uint64
+	keys, tmp []int64
+}
+
+// encode writes h(S) for the member S covering records [start,end) into
+// enc, in increasing order without duplicates. The positions are hashed
+// straight off the tree's per-character lists: their order is irrelevant
+// before hashing, so nothing is copied or sorted up front. A universe of at
+// most 2^16 is marked in a bitset whose set bits are emitted in order, runs
+// of adjacent bits as runs; the wide universe (2^32 for j = k, where h_j is
+// a bijection of [0,n) whenever n ≤ 2^32) collects the keys and radix-sorts
+// them.
+func (hb *hashedSetBuilder) encode(enc *cbitmap.StreamEncoder, tr *Tree, h hashutil.SplitXOR, start, end int64) {
+	hb.lists = tr.PositionSlices(hb.lists[:0], start, end)
+	if h.LowBits <= bitsetMaxLowBits {
+		if hb.bitset == nil {
+			hb.bitset = make([]uint64, 1<<bitsetMaxLowBits/64)
+		}
+		bs := hb.bitset[:(1<<h.LowBits+63)/64]
+		for _, l := range hb.lists {
+			for _, p := range l {
+				v := h.Hash(uint64(p))
+				bs[v>>6] |= 1 << (v & 63)
+			}
+		}
+		for wi, w := range bs {
+			base := int64(wi) << 6
+			for w != 0 {
+				lo := bits.TrailingZeros64(w)
+				run := bits.TrailingZeros64(^(w >> uint(lo))) // 64 when lo = 0 and w = ^0
+				enc.AddRun(base+int64(lo), int64(run))
+				if lo+run == 64 {
+					break
+				}
+				w &^= 1<<uint(lo+run) - 1
+			}
+			bs[wi] = 0
+		}
+		return
+	}
+	keys := slices.Grow(hb.keys[:0], int(end-start))
+	for _, l := range hb.lists {
+		for _, p := range l {
+			keys = append(keys, int64(h.Hash(uint64(p))))
+		}
+	}
+	keys, hb.tmp = radixSort(keys, hb.tmp)
+	hb.keys = keys
+	last := int64(-1)
+	for _, v := range keys {
+		if v != last {
+			enc.Add(v)
+			last = v
+		}
+	}
+}
+
+// radixSort sorts the non-negative keys a in linear time: an LSD radix sort
+// over bytes that skips every byte on which all keys agree (so keys below
+// 2^32 take at most four passes, fewer when they span a narrower range).
+// tmp is scratch of any capacity. It returns the sorted keys and the spare
+// buffer; either may alias a or tmp.
+func radixSort(a, tmp []int64) (sorted, spare []int64) {
+	var diff uint64
+	for _, v := range a {
+		diff |= uint64(v ^ a[0])
+	}
+	if cap(tmp) < len(a) {
+		tmp = make([]int64, len(a))
+	}
+	tmp = tmp[:len(a)]
+	for shift := uint(0); diff>>shift != 0; shift += 8 {
+		if byte(diff>>shift) == 0 {
+			continue
+		}
+		var count [256]int
+		for _, v := range a {
+			count[byte(uint64(v)>>shift)]++
+		}
+		sum := 0
+		for i, c := range count {
+			count[i] = sum
+			sum += c
+		}
+		for _, v := range a {
+			b := byte(uint64(v) >> shift)
+			tmp[count[b]] = v
+			count[b]++
+		}
+		a, tmp = tmp, a
+	}
+	return a, tmp
 }
 
 // maxJ returns k ≈ lg lg n, the deepest hashed level, chosen as the least k

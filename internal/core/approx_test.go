@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/index"
@@ -284,5 +286,29 @@ func TestMaxJ(t *testing.T) {
 	}
 	if k := maxJ(16); k < 1 {
 		t.Fatalf("maxJ(16) = %d", k)
+	}
+}
+
+// TestRadixSort checks the hashed-set build's radix sort against
+// slices.Sort on empty, tiny, duplicate-heavy and full-width inputs,
+// reusing the spare buffer across calls as the build does.
+func TestRadixSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var tmp []int64
+	for _, tc := range []struct {
+		n    int
+		bits uint
+	}{{0, 8}, {1, 32}, {2, 1}, {3, 32}, {100, 4}, {1000, 17}, {5000, 32}, {5000, 63}} {
+		a := make([]int64, tc.n)
+		for i := range a {
+			a[i] = rng.Int63() >> (63 - tc.bits)
+		}
+		want := slices.Clone(a)
+		slices.Sort(want)
+		var got []int64
+		got, tmp = radixSort(a, tmp)
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d bits=%d: radixSort differs from slices.Sort", tc.n, tc.bits)
+		}
 	}
 }

@@ -483,11 +483,19 @@ func BuildOptimalDefault(d iomodel.Device, col workload.Column) (*Optimal, error
 
 // PayloadUnderCodes recomputes the total member-bitmap payload under gamma
 // and delta coding of the gap streams (the A5 ablation: the paper permits
-// "any method that compresses to within a constant factor").
+// "any method that compresses to within a constant factor"). Each member's
+// positions are gathered from the tree's per-character lists and put in
+// order with the hashed-set build's radix sort.
 func (ox *Optimal) PayloadUnderCodes() (gammaBits, deltaBits int64) {
+	var lists [][]int64
+	var pos, tmp []int64
 	for _, lv := range ox.levels {
 		for _, m := range lv.members {
-			pos := ox.tree.Positions(m.start, m.end)
+			pos = pos[:0]
+			for _, l := range ox.tree.PositionSlices(lists[:0], m.start, m.end) {
+				pos = append(pos, l...)
+			}
+			pos, tmp = radixSort(pos, tmp)
 			prev := int64(-1)
 			for _, p := range pos {
 				gap := uint64(p - prev)

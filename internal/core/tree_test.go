@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/workload"
@@ -77,6 +78,26 @@ func TestRecordRangeAndCount(t *testing.T) {
 	if z := tr.Count(3, 3); z != 1 {
 		t.Fatalf("Count(3,3) = %d", z)
 	}
+}
+
+// Positions returns, in increasing position order, the positions of the
+// records in [start,end): the tests' oracle for the build paths, which never
+// materialise or sort a member's positions.
+func (t *Tree) Positions(start, end int64) []int64 {
+	out := make([]int64, 0, end-start)
+	for a := int(t.charOf(start)); int64(a) < int64(t.sigma) && t.prefix[a] < end; a++ {
+		lo := t.prefix[a]
+		if lo < start {
+			lo = start
+		}
+		hi := t.prefix[a+1]
+		if hi > end {
+			hi = end
+		}
+		out = append(out, t.byChar[a][lo-t.prefix[a]:hi-t.prefix[a]]...)
+	}
+	slices.Sort(out)
+	return out
 }
 
 func TestPositionsSortedAndComplete(t *testing.T) {

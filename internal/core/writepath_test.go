@@ -145,9 +145,10 @@ func TestStreamingRebuildDifferential(t *testing.T) {
 
 // TestStreamingBuildBitIdentical pins the static bulk builds: every member
 // extent the streaming level pass emits must hold exactly the bytes the
-// encode-via-Bitmap oracle produces — for Optimal across the A1 stride sweep
-// and for the Warmup tree.
+// encode-via-Bitmap oracle produces — for Optimal across the A1 stride sweep,
+// for the Warmup tree, and for every hashed-set extent of Approx.
 func TestStreamingBuildBitIdentical(t *testing.T) {
+	t.Run("approx", testApproxExtentsBitIdentical)
 	col := workload.Uniform(5000, 256, 89)
 	for _, stride := range []int{1, 2, 4} {
 		d := iomodel.NewDisk(iomodel.Config{BlockBits: 1024})
@@ -216,6 +217,89 @@ func TestStreamingBuildBitIdentical(t *testing.T) {
 			if lv.cards[node] != want.Card() || int64(want.SizeBits()) != ext.Bits || !bytes.Equal(got.Bytes(), ww.Bytes()) {
 				t.Fatalf("warmup level %d node %d: extent differs from oracle encoding", j, node)
 			}
+		}
+	}
+}
+
+// readExtent returns the bytes stored at ext, packed from bit 0.
+func readExtent(t *testing.T, tc *iomodel.Touch, ext iomodel.Extent) []byte {
+	t.Helper()
+	rd, err := tc.Reader(ext)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := bitio.NewWriter(int(ext.Bits))
+	if err := w.CopyBits(rd, int(ext.Bits)); err != nil {
+		t.Fatal(err)
+	}
+	return w.Bytes()
+}
+
+// testApproxExtentsBitIdentical checks every hashed-set extent of Approx —
+// every level, every j, every member — against the per-member oracle:
+// h_j applied to the member's sorted positions, FromUnsorted over the
+// 2^(2^j) universe, then EncodeTo. The shapes reach both the bitset branch
+// (universes up to 2^16) and the sorting branch (the 2^32 universe, stored
+// once n > 2^16), every k from 1 to 5, a single-character column, and the
+// stride and branching ablations.
+func testApproxExtentsBitIdentical(t *testing.T) {
+	shapes := []struct {
+		name string
+		col  workload.Column
+		opts OptimalOptions
+	}{
+		{"uniform-n1", workload.Uniform(1, 256, 3), OptimalOptions{}},
+		{"uniform-n9", workload.Uniform(9, 256, 4), OptimalOptions{}},
+		{"uniform-n17", workload.Uniform(17, 256, 5), OptimalOptions{}},
+		{"uniform-n257", workload.Uniform(257, 256, 7), OptimalOptions{}},
+		{"uniform-n5000", workload.Uniform(5000, 256, 9), OptimalOptions{}},
+		{"uniform-n70000", workload.Uniform(70000, 256, 11), OptimalOptions{}},
+		{"zipf-n5000", workload.Zipf(5000, 1024, 1.1, 13), OptimalOptions{}},
+		{"zipf-n70000", workload.Zipf(70000, 1024, 1.1, 15), OptimalOptions{}},
+		{"sigma1-n257", workload.Uniform(257, 1, 17), OptimalOptions{}},
+		{"sigma1-n70000", workload.Uniform(70000, 1, 19), OptimalOptions{}},
+		{"stride1-n5000", workload.Uniform(5000, 256, 21), OptimalOptions{Stride: 1}},
+		{"stride4-n70000", workload.Zipf(70000, 256, 1.1, 23), OptimalOptions{Stride: 4}},
+		{"branching5-n70000", workload.Uniform(70000, 64, 25), OptimalOptions{Branching: 5}},
+	}
+	ks := map[int]bool{}
+	for _, sh := range shapes {
+		d := iomodel.NewDisk(iomodel.Config{BlockBits: 1024})
+		ax, err := BuildApprox(d, sh.col, ApproxOptions{OptimalOptions: sh.opts, Seed: 27})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ks[ax.k] = true
+		tc := d.NewTouch()
+		for li, lv := range ax.levels {
+			for j := 1; j <= ax.k; j++ {
+				arr := &ax.hmaps[li].perJ[j-1]
+				univ := int64(1) << uint(1<<uint(j))
+				for k, m := range lv.members {
+					pos := ax.tree.Positions(m.start, m.end)
+					hashed := make([]int64, len(pos))
+					for i, p := range pos {
+						hashed[i] = int64(ax.hs[j-1].Hash(uint64(p)))
+					}
+					want, err := cbitmap.FromUnsorted(univ, hashed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ww := bitio.NewWriter(want.SizeBits())
+					want.EncodeTo(ww)
+					ext := arr.exts[k]
+					if arr.cards[k] != want.Card() || ext.Bits != int64(want.SizeBits()) || !bytes.Equal(readExtent(t, tc, ext), ww.Bytes()) {
+						t.Fatalf("%s: level %d j=%d member %d: hashed extent differs from oracle (card %d/%d, bits %d/%d)",
+							sh.name, li, j, k, arr.cards[k], want.Card(), ext.Bits, want.SizeBits())
+					}
+				}
+			}
+		}
+		tc.Close()
+	}
+	for k := 1; k <= 5; k++ {
+		if !ks[k] {
+			t.Errorf("no shape stores exactly k=%d hashed levels", k)
 		}
 	}
 }
